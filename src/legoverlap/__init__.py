@@ -15,7 +15,6 @@ from .boundary import (
     double_factorial,
 )
 from .overlap import (
-    OverlapQuery,
     OverlapResult,
     VanishingReason,
     boundary_term_sum,
@@ -42,7 +41,6 @@ __all__ = [
     "boundary_genfunc",
     "boundary_recurrence",
     "double_factorial",
-    "OverlapQuery",
     "OverlapResult",
     "VanishingReason",
     "boundary_term_sum",

@@ -3,7 +3,9 @@
 Evaluates the integral over [-1, 1] of P_n^(q)(x) P_m^(k)(x) without ever
 expanding a polynomial: repeated integration by parts reduces everything
 to parity filters, step-function degree gates, and alternating sums of
-endpoint values P^(d)(1) = (d+N)! / (2^d d! (N-d)!).
+endpoint values P^(d)(1) = (d+N)! / (2^d d! (N-d)!).  All of those sums
+run on one ladder kernel that steps the endpoint values by their ratio, so
+an overlap costs O(q+k) big-integer steps and no factorials.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import NamedTuple
+
+from ._checks import check_indices
 
 __all__ = [
-    "OverlapQuery",
     "OverlapResult",
     "VanishingReason",
     "theta",
@@ -49,15 +50,6 @@ class VanishingReason(enum.Enum):
     DERIVATIVE_ANNIHILATION = "derivative_annihilation"
 
 
-class OverlapQuery(NamedTuple):
-    """One overlap integral: degrees n, m and derivative orders q, k."""
-
-    n: int
-    m: int
-    q: int
-    k: int
-
-
 @dataclass(frozen=True)
 class OverlapResult:
     value: Fraction
@@ -79,20 +71,28 @@ def classify_vanishing(n: int, m: int, q: int, k: int, value: Fraction) -> Vanis
     return VanishingReason.NONE
 
 
-def _check_query(n: int, m: int, q: int, k: int) -> None:
-    if n < 0 or m < 0 or q < 0 or k < 0:
-        raise ValueError("all overlap indices must be non-negative")
+def _endpoints(deg: int, count: int) -> list[int]:
+    """E(d, deg) = (deg+d)! / (d! (deg-d)!), i.e. 2^d P_deg^(d)(1), for d < count.
 
-
-def _scaled_endpoint(d: int, deg: int) -> int:
-    """(d+deg)! / (d! (deg-d)!), i.e. 2^d * P_deg^(d)(1).
-
-    Zero once d > deg: the factorial in the denominator would have a
-    negative argument, matching the annihilated derivative.
+    Each step multiplies by (deg+d+1)(deg-d)/(d+1), an exact division.  The
+    factor deg-d makes every entry past d = deg exactly zero, which is the
+    zero-for-negative-factorial convention of the closed forms.
     """
-    if d > deg:
-        return 0
-    return factorial(d + deg) // (factorial(d) * factorial(deg - d))
+    out, e = [], 1
+    for d in range(count):
+        out.append(e)
+        e = e * (deg + d + 1) * (deg - d) // (d + 1)
+    return out
+
+
+def _ladder(n: int, m: int, s: int, count: int) -> int:
+    """The endpoint ladder sum_{d=0..count-1} (-1)^d E(d, n) E(s-d, m), count <= s+1."""
+    left, right = _endpoints(n, count), _endpoints(m, s + 1)
+    total = 0
+    for d in range(count):
+        term = left[d] * right[s - d]
+        total += -term if d % 2 else term
+    return total
 
 
 def _orthogonality(n: int, m: int) -> OverlapResult:
@@ -102,14 +102,14 @@ def _orthogonality(n: int, m: int) -> OverlapResult:
 
 def overlap_p_dp(n: int, m: int) -> OverlapResult:
     """Integral of P_n P'_m: 2 when n+m is odd and n < m, otherwise 0."""
-    _check_query(n, m, 0, 1)
+    check_indices(n, m, 0, 1)
     value = Fraction(theta(m - n) * parity_filter(n + m))
     return OverlapResult(value, classify_vanishing(n, m, 0, 1, value))
 
 
 def overlap_p_ddp(n: int, m: int) -> OverlapResult:
     """Integral of P_n P''_m: m(m+1) - n(n+1) when n+m is even and n < m-1, else 0."""
-    _check_query(n, m, 0, 2)
+    check_indices(n, m, 0, 2)
     gate = theta((m - 1) - n) * parity_filter(n + m + 1)
     value = gate * (Fraction(m * (m + 1), 2) - Fraction(n * (n + 1), 2))
     return OverlapResult(value, classify_vanishing(n, m, 0, 2, value))
@@ -125,23 +125,15 @@ def overlap_p_dk(n: int, m: int, k: int) -> OverlapResult:
 
     which stays valid verbatim on degenerate inputs thanks to the
     zero-for-negative-factorial convention in the endpoint terms.
-    k = 0 falls back to plain orthogonality.
+    k = 0 falls back to plain orthogonality.  This is overlap_general with
+    q = 0, where the boundary ladder is empty.
     """
-    _check_query(n, m, 0, k)
-    if k == 0:
-        return _orthogonality(n, m)
-    gate = theta((m - (k - 1)) - n) * parity_filter(n + m + k - 1)
-    total = 0
-    if gate:
-        for j in range(1, k + 1):
-            total += (-1) ** (j - 1) * _scaled_endpoint(j - 1, n) * _scaled_endpoint(k - j, m)
-    value = Fraction(gate * total, 1 << (k - 1))
-    return OverlapResult(value, classify_vanishing(n, m, 0, k, value))
+    return overlap_general(n, m, 0, k)
 
 
 def overlap_dp_dp(n: int, m: int) -> OverlapResult:
     """Integral of P'_n P'_m: min(n,m)(min(n,m)+1) when n+m is even, else 0."""
-    _check_query(n, m, 1, 1)
+    check_indices(n, m, 1, 1)
     gate = theta((m - 1) - n)
     value = parity_filter(n + m + 1) * (
         Fraction(m * (m + 1), 2) * (1 - gate) + Fraction(n * (n + 1), 2) * gate
@@ -161,25 +153,22 @@ def overlap_general(n: int, m: int, q: int, k: int) -> OverlapResult:
           + (-1)^q theta((m-(k+q-1)) - n)
             sum_{j=1..k+q} (-1)^(j-1) E(j-1, n) E(k+q-j, m) )
 
-    with E(d, N) = (d+N)!/(d! (N-d)!).  Degenerate q > n or k > m inputs
+    with E(d, N) = (d+N)!/(d! (N-d)!).  With s = k+q-1 both sums are the
+    ladder sum_d (-1)^d E(d, n) E(s-d, m): the first over d < q with sign
+    (-1)^(q-1), the second over d <= s.  Degenerate q > n or k > m inputs
     come out zero through the same convention.  The pure orthogonality
     case q = k = 0 is dispatched separately (2/(2n+1) times delta_nm);
     the derivative-transfer expansion needs at least one differentiation.
     """
-    _check_query(n, m, q, k)
+    check_indices(n, m, q, k)
     if q == 0 and k == 0:
         return _orthogonality(n, m)
-    pf = parity_filter(n + m + q + k - 1)
-    total = 0
-    if pf:
-        for j in range(1, q + 1):
-            total += (-1) ** (j - 1) * _scaled_endpoint(q - j, n) * _scaled_endpoint(k + j - 1, m)
-        if theta((m - (k + q - 1)) - n):
-            tail = 0
-            for j in range(1, k + q + 1):
-                tail += (-1) ** (j - 1) * _scaled_endpoint(j - 1, n) * _scaled_endpoint(k + q - j, m)
-            total += (-1) ** q * tail
-    value = Fraction(pf * total, 1 << (k + q - 1))
+    s = k + q - 1
+    value = boundary_term_sum(n, m, q, k)
+    pf = parity_filter(n + m + s)
+    if pf and theta((m - s) - n):
+        tail = pf * _ladder(n, m, s, s + 1)
+        value += Fraction(-tail if q % 2 else tail, 1 << s)
     return OverlapResult(value, classify_vanishing(n, m, q, k, value))
 
 
@@ -190,10 +179,10 @@ def boundary_term_sum(n: int, m: int, q: int, k: int) -> Fraction:
     shared parity/2-power prefactor; it vanishes whenever n+m+q+k is odd.
     Meaningful for q >= 1 (an empty ladder, hence 0, for q = 0).
     """
-    _check_query(n, m, q, k)
-    pf = parity_filter(n + m + q + k - 1)
-    total = 0
-    if pf:
-        for j in range(1, q + 1):
-            total += (-1) ** (j - 1) * _scaled_endpoint(q - j, n) * _scaled_endpoint(k + j - 1, m)
-    return Fraction(pf * total, 1 << max(k + q - 1, 0))
+    check_indices(n, m, q, k)
+    s = k + q - 1
+    pf = parity_filter(n + m + s)
+    if not pf:
+        return Fraction(0)
+    ladder = pf * _ladder(n, m, s, q)
+    return Fraction(ladder if q % 2 else -ladder, 1 << max(s, 0))

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+
+from ._checks import check_indices
 
 __all__ = ["QuadratureRule", "gauss_legendre_rule", "overlap_quadrature"]
 
@@ -29,9 +30,6 @@ class QuadratureRule:
     order: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
-
-    def integrate(self, f: Callable[[float], float]) -> float:
-        return math.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
 
 
 def _legendre_pair(order: int, x: float) -> tuple[float, float]:
@@ -111,6 +109,7 @@ def overlap_quadrature(n: int, m: int, q: int, k: int, order: int) -> float:
     Requires 2*order - 1 >= (n-q) + (m-k), so the rule is exact for the
     integrand up to float rounding.
     """
+    check_indices(n, m, q, k)
     if 2 * order - 1 < (n - q) + (m - k):
         raise ValueError(
             f"order-{order} rule is not exact for integrand degree {(n - q) + (m - k)}"

@@ -1,12 +1,15 @@
 """Closed-form overlaps: case tables, reductions, degenerate inputs, reasons."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import legoverlap
 from legoverlap import (
-    OverlapQuery,
     VanishingReason,
+    boundary_factorial,
     boundary_term_sum,
     classify_vanishing,
     overlap_dp_dp,
@@ -147,15 +150,78 @@ class TestGeneralOverlap:
         assert res.value == 0
         assert res.vanishing_reason is VanishingReason.DERIVATIVE_ANNIHILATION
 
-    def test_accepts_query_tuple(self):
-        query = OverlapQuery(n=10, m=3, q=10, k=3)
-        assert overlap_general(*query).value == 19641872250
-
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
             overlap_general(-1, 0, 0, 0)
         with pytest.raises(ValueError):
             overlap_p_dk(0, 1, -1)
+
+    def test_non_int_indices_rejected(self):
+        # odd n+m+q+k: without the check this returns a parity zero
+        with pytest.raises(TypeError):
+            overlap_general(2.0, 4, 0, 1)
+        with pytest.raises(TypeError):
+            overlap_general(2.0, 4, 1, 1)
+        with pytest.raises(TypeError):
+            boundary_term_sum(2, 4, Fraction(1), 1)
+
+    def test_bool_indices_rejected(self):
+        with pytest.raises(TypeError):
+            overlap_general(True, 2, 0, 1)
+        with pytest.raises(TypeError):
+            overlap_p_dk(0, 3, False)
+
+
+def _docstring_formula(n, m, q, k):
+    """The overlap_general docstring sum, term by term from boundary_factorial."""
+    def e(d, deg):
+        return boundary_factorial(deg, d) * (1 << d)
+
+    s = k + q - 1
+    ladder = sum((-1) ** (j - 1) * e(q - j, n) * e(k + j - 1, m) for j in range(1, q + 1))
+    if (m - s) - n > 0:
+        tail = sum((-1) ** (j - 1) * e(j - 1, n) * e(k + q - j, m) for j in range(1, k + q + 1))
+        ladder += (-1) ** q * tail
+    return Fraction(1 - (-1) ** (n + m + s), 1 << s) * ladder
+
+
+class TestLadderKernel:
+    """High-degree values against the independent factorial endpoint route."""
+
+    POINTS = [
+        (5000, 4998, 30, 10),  # boundary ladder only, gate closed
+        (2000, 2100, 0, 40),  # gated tail only
+        (300, 421, 12, 9),  # both ladders
+        (3, 60, 5, 4),  # q > n with parity and gate open: annihilated
+    ]
+
+    @pytest.mark.parametrize("n,m,q,k", POINTS)
+    def test_matches_factorial_route(self, n, m, q, k):
+        value = overlap_general(n, m, q, k).value
+        assert value == _docstring_formula(n, m, q, k)
+        assert value == overlap_general(m, n, k, q).value
+        assert (value == 0) == (q > n or k > m)
+
+
+def _imported_modules(path):
+    """Absolute names of every module a legoverlap source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "legoverlap" if node.level else ""
+            if node.module:
+                base = f"{base}.{node.module}" if base else node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("route", ["oracle", "boundary"])
+def test_route_never_imports_closed_forms(route):
+    path = Path(legoverlap.__file__).with_name(f"{route}.py")
+    assert "legoverlap.overlap" not in _imported_modules(path)
 
 
 class TestVanishingReason:

@@ -79,6 +79,12 @@ def test_rejects_rule_too_small_for_integrand():
         overlap_quadrature(6, 6, 0, 0, 3)
 
 
+@pytest.mark.parametrize("args", [(-1, 2, 0, 0, 3), (3, 2, -1, 0, 4)])
+def test_rejects_negative_indices(args):
+    with pytest.raises(ValueError):
+        overlap_quadrature(*args)
+
+
 def test_parity_odd_integrands_cancel_exactly():
     """Bit-symmetric nodes make odd integrands sum to exactly 0.0."""
     for n in range(10):
