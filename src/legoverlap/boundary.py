@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from ._checks import check_indices
+
 __all__ = [
     "boundary_factorial",
     "boundary_recurrence",
@@ -18,18 +20,13 @@ __all__ = [
 ]
 
 
-def _check_indices(n: int, k: int) -> None:
-    if n < 0 or k < 0:
-        raise ValueError("degree and derivative order must be non-negative")
-
-
 def boundary_factorial(n: int, k: int) -> Fraction:
     """P_n^(k)(1) from the closed form (n+k)! / (2^k k! (n-k)!).
 
     Exactly 0 for k > n, where the denominator factorial would have a
     negative argument.
     """
-    _check_indices(n, k)
+    check_indices(n, k)
     if k > n:
         return Fraction(0)
     return Fraction(factorial(n + k), (1 << k) * factorial(k) * factorial(n - k))
@@ -42,7 +39,7 @@ def boundary_recurrence(n: int, k: int) -> Fraction:
     conditions (row j = 0 is all ones, entries with j > i are zero); no
     closed form is used anywhere.
     """
-    _check_indices(n, k)
+    check_indices(n, k)
     if k > n:
         return Fraction(0)
     row = [1]  # i = 0
@@ -62,7 +59,7 @@ def boundary_genfunc(n: int, k: int) -> Fraction:
     leaves (2k-1)!! t^k / |t-1|^(2k+1); Taylor-expanding the pole term gives
     the coefficient (2k+j)! / (j! (2k)!) at order j = n - k.
     """
-    _check_indices(n, k)
+    check_indices(n, k)
     if k > n:
         return Fraction(0)
     j = n - k

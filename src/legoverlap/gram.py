@@ -11,15 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._checks import check_indices
 from .oracle import overlap_oracle
-from .overlap import overlap_general
+from .overlap import _gram_entries
 
 __all__ = ["GramMatrix", "build_gram_matrix", "format_exact", "parse_exact"]
 
 METHODS = ("closed_form", "oracle")
+
+_ZERO = Fraction(0)
+_EXACT = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+_FIELDS = ("q", "k", "n_max", "m_max", "method", "entries")
 
 
 def format_exact(value: Fraction) -> str:
@@ -30,8 +36,27 @@ def format_exact(value: Fraction) -> str:
 
 
 def parse_exact(text: str) -> Fraction:
-    """Inverse of format_exact."""
-    return Fraction(text)
+    """Exact inverse of format_exact: accepts only the strings it writes.
+
+    Those are a decimal integer (an optional "-", no leading zero, no "+",
+    "_" or spaces) or "p/q" in lowest terms with q > 1.  Anything else
+    raises ValueError, and a non-str raises TypeError.
+    """
+    if text == "0":
+        return _ZERO
+    if not isinstance(text, str):
+        raise TypeError(f"exact values are str, got {type(text).__name__}")
+    match = _EXACT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an exact value: {text!r}")
+    numerator, denominator = match.groups()
+    if denominator is None:
+        return Fraction(int(numerator))
+    den = int(denominator)
+    value = Fraction(int(numerator), den)
+    if den == 1 or value.denominator != den:
+        raise ValueError(f"not in lowest terms with denominator > 1: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,15 +82,26 @@ class GramMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "GramMatrix":
+        """Read to_json output back; ValueError on anything of another shape."""
         data = json.loads(text)
-        return cls(
-            q=data["q"],
-            k=data["k"],
-            n_max=data["n_max"],
-            m_max=data["m_max"],
-            method=data["method"],
-            entries=tuple(tuple(parse_exact(v) for v in row) for row in data["entries"]),
-        )
+        if not isinstance(data, dict) or any(key not in data for key in _FIELDS):
+            raise ValueError(f"a Gram matrix object needs the keys {_FIELDS}")
+        q, k, n_max, m_max, method, rows = (data[key] for key in _FIELDS)
+        if any(type(index) is not int or index < 0 for index in (q, k, n_max, m_max)):
+            raise ValueError("q, k, n_max and m_max must be non-negative integers")
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        if (
+            type(rows) is not list
+            or len(rows) != n_max + 1
+            or any(type(row) is not list or len(row) != m_max + 1 for row in rows)
+        ):
+            raise ValueError(f"entries must be {n_max + 1} rows of {m_max + 1} strings")
+        try:
+            entries = tuple(tuple(map(parse_exact, row)) for row in rows)
+        except TypeError:
+            raise ValueError("entries must be strings") from None
+        return cls(q, k, n_max, m_max, method, entries)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -81,18 +117,19 @@ def build_gram_matrix(
 ) -> GramMatrix:
     """Assemble the (n_max+1) x (m_max+1) matrix of overlaps for fixed (q, k).
 
-    Entries are filled row-major; method selects the closed-form evaluator
-    or the brute-force oracle (both exact, so the results are identical).
+    method selects the closed form, assembled per degree from endpoint
+    ladder vectors in O((n_max+m_max)(q+k)) integers and one dot product
+    per nonzero-parity entry, or the brute-force oracle entry by entry
+    (both exact, so the results are identical).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if n_max < 0 or m_max < 0:
-        raise ValueError("degree bounds must be non-negative")
+    check_indices(q, k, n_max, m_max)
     if method == "closed_form":
-        entry = lambda n, m: overlap_general(n, m, q, k).value
+        entries = _gram_entries(q, k, n_max, m_max)
     else:
-        entry = lambda n, m: overlap_oracle(n, m, q, k)
-    entries = tuple(
-        tuple(entry(n, m) for m in range(m_max + 1)) for n in range(n_max + 1)
-    )
+        entries = tuple(
+            tuple(overlap_oracle(n, m, q, k) for m in range(m_max + 1))
+            for n in range(n_max + 1)
+        )
     return GramMatrix(q, k, n_max, m_max, method, entries)

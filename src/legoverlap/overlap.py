@@ -85,14 +85,66 @@ def _endpoints(deg: int, count: int) -> list[int]:
     return out
 
 
-def _ladder(n: int, m: int, s: int, count: int) -> int:
-    """The endpoint ladder sum_{d=0..count-1} (-1)^d E(d, n) E(s-d, m), count <= s+1."""
-    left, right = _endpoints(n, count), _endpoints(m, s + 1)
-    total = 0
-    for d in range(count):
-        term = left[d] * right[s - d]
-        total += -term if d % 2 else term
-    return total
+def _signed_endpoints(n: int, s: int) -> list[int]:
+    """The row factors (-1)^d E(d, n) of the ladder, d = 0..s."""
+    return [-e if d % 2 else e for d, e in enumerate(_endpoints(n, s + 1))]
+
+
+def _reversed_endpoints(m: int, s: int) -> list[int]:
+    """The column factors E(s-d, m) of the ladder, d = 0..s."""
+    return _endpoints(m, s + 1)[::-1]
+
+
+def _ladder(left: list[int], right: list[int], lo: int, hi: int) -> int:
+    """The endpoint ladder sum_{d=lo..hi-1} (-1)^d E(d, n) E(s-d, m).
+
+    left and right are _signed_endpoints(n, s) and _reversed_endpoints(m, s).
+    """
+    return sum(map(int.__mul__, left[lo:hi], right[lo:hi]))
+
+
+def _gated_ladder(left: list[int], right: list[int], n: int, m: int, q: int, s: int) -> Fraction:
+    """overlap_general's value at an entry with odd n+m+s, from its ladder factors.
+
+    When the degree gate theta((m-s)-n) is closed only the boundary ladder
+    over d < q remains, with sign (-1)^(q+1).  When it is open the boundary
+    ladder cancels the first q terms of the tail, leaving the single range
+    q <= d <= s with sign (-1)^q.  The parity filter 2 over 2^s is applied
+    as an exact shift whenever it divides.
+    """
+    if m - s - n > 0:
+        ladder = _ladder(left, right, q, s + 1)
+    else:
+        ladder = -_ladder(left, right, 0, q)
+    num = -2 * ladder if q % 2 else 2 * ladder
+    if num & ((1 << s) - 1):
+        return Fraction(num, 1 << s)
+    return Fraction(num >> s)
+
+
+def _gram_entries(q: int, k: int, n_max: int, m_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of overlap_general(n, m, q, k).value for n <= n_max and m <= m_max.
+
+    The ladder factors are built once per degree, O((n_max+m_max)(q+k))
+    integers, and each odd-parity entry is a single dot product of them;
+    every other entry is one shared zero.
+    """
+    zero = Fraction(0)
+    if q == 0 and k == 0:
+        return tuple(
+            tuple(Fraction(2, 2 * n + 1) if m == n else zero for m in range(m_max + 1))
+            for n in range(n_max + 1)
+        )
+    s = k + q - 1
+    columns = [_reversed_endpoints(m, s) for m in range(m_max + 1)]
+    rows = []
+    for n in range(n_max + 1):
+        left = _signed_endpoints(n, s)
+        row = [zero] * (m_max + 1)
+        for m in range((n + s + 1) % 2, m_max + 1, 2):
+            row[m] = _gated_ladder(left, columns[m], n, m, q, s)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _orthogonality(n: int, m: int) -> OverlapResult:
@@ -155,7 +207,9 @@ def overlap_general(n: int, m: int, q: int, k: int) -> OverlapResult:
 
     with E(d, N) = (d+N)!/(d! (N-d)!).  With s = k+q-1 both sums are the
     ladder sum_d (-1)^d E(d, n) E(s-d, m): the first over d < q with sign
-    (-1)^(q-1), the second over d <= s.  Degenerate q > n or k > m inputs
+    (-1)^(q-1), the second over d <= s.  When the gate is open the first
+    cancels the head of the second, so each entry is one ladder: over d < q
+    or over q <= d <= s.  Degenerate q > n or k > m inputs
     come out zero through the same convention.  The pure orthogonality
     case q = k = 0 is dispatched separately (2/(2n+1) times delta_nm);
     the derivative-transfer expansion needs at least one differentiation.
@@ -164,11 +218,9 @@ def overlap_general(n: int, m: int, q: int, k: int) -> OverlapResult:
     if q == 0 and k == 0:
         return _orthogonality(n, m)
     s = k + q - 1
-    value = boundary_term_sum(n, m, q, k)
-    pf = parity_filter(n + m + s)
-    if pf and theta((m - s) - n):
-        tail = pf * _ladder(n, m, s, s + 1)
-        value += Fraction(-tail if q % 2 else tail, 1 << s)
+    value = Fraction(0)
+    if parity_filter(n + m + s):
+        value = _gated_ladder(_signed_endpoints(n, s), _reversed_endpoints(m, s), n, m, q, s)
     return OverlapResult(value, classify_vanishing(n, m, q, k, value))
 
 
@@ -184,5 +236,5 @@ def boundary_term_sum(n: int, m: int, q: int, k: int) -> Fraction:
     pf = parity_filter(n + m + s)
     if not pf:
         return Fraction(0)
-    ladder = pf * _ladder(n, m, s, q)
+    ladder = pf * _ladder(_signed_endpoints(n, s), _reversed_endpoints(m, s), 0, q)
     return Fraction(ladder if q % 2 else -ladder, 1 << max(s, 0))

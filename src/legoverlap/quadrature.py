@@ -5,9 +5,10 @@ in stdlib ``decimal`` at a fixed working precision of ``_DIGITS`` digits
 (evaluating P_N and P_N' with the three-term recurrence) and mirrors them,
 so the grid is symmetric to the last digit.  Integrand values come from the
 differentiated three-term recurrence in the same precision.  Decimal
-rounding is symmetric under negation, so the recurrence is exactly
-antisymmetric under x -> -x; summing each mirrored node pair together
-makes parity-odd integrands cancel to exactly ``0.0``.  Everything runs
+rounding is symmetric under negation, so the recurrence keeps the parity
+P_n^(q)(-x) = (-1)^(n+q) P_n^(q)(x) exactly: each mirrored node reuses the
+value at its positive twin, and summing the pair together makes
+parity-odd integrands cancel to exactly ``0.0``.  Everything runs
 inside ``decimal.localcontext()``: the caller's decimal context is neither
 read nor changed.  Results are rounded to ``float`` only at the end, so an
 N-point rule, exact for degree <= 2N-1, returns the exact integral up to one
@@ -114,7 +115,7 @@ def _derivative_value(n: int, q: int, x: Decimal) -> Decimal:
 
     which is evaluated on a value table in j = 0..q.  Unlike Horner on the
     monomial coefficients this does not cancel catastrophically for larger
-    n, and it is exactly antisymmetric under x -> -x.
+    n, and it keeps the parity (-1)^(n+q) under x -> -x exactly.
     """
     zero = Decimal(0)
     cur = [Decimal(1)] + [zero] * q  # P_0 and its derivatives
@@ -151,11 +152,13 @@ def overlap_quadrature(n: int, m: int, q: int, k: int, order: int) -> float:
             f"order-{order} rule is not exact for integrand degree {(n - q) + (m - k)}"
         )
     rule = gauss_legendre_rule(order)
+    odd = (n + q + m + k) % 2
     with decimal.localcontext(_CONTEXT):
         total = Decimal(0)
         for x, w in rule.decimal_half:
             value = _derivative_value(n, q, x) * _derivative_value(m, k, x)
             if x:
-                value += _derivative_value(n, q, -x) * _derivative_value(m, k, -x)
+                # P_n^(q)(-x) = (-1)^(n+q) P_n^(q)(x), exactly in the recurrence
+                value += -value if odd else value
             total += w * value
         return float(total)

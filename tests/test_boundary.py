@@ -95,3 +95,12 @@ def test_negative_indices_rejected():
             fn(-1, 0)
         with pytest.raises(ValueError):
             fn(0, -1)
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_non_int_indices_rejected(bad):
+    for fn in (boundary_factorial, boundary_recurrence, boundary_genfunc):
+        with pytest.raises(TypeError):
+            fn(bad, 0)
+        with pytest.raises(TypeError):
+            fn(3, bad)

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from legoverlap import GramMatrix, build_gram_matrix, format_exact, parse_exact
+from legoverlap import (
+    GramMatrix,
+    build_gram_matrix,
+    format_exact,
+    overlap_general,
+    overlap_oracle,
+    parse_exact,
+)
 
 
 def test_orthogonality_matrix():
@@ -94,3 +101,111 @@ def test_rejects_unknown_method_and_bad_bounds():
 )
 def test_format_parse_round_trip(value):
     assert parse_exact(format_exact(value)) == value
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad, error", [(2.0, TypeError), (True, TypeError), (-1, ValueError)])
+def test_rejects_bad_indices_and_bounds(position, bad, error):
+    args = [1, 1, 3, 3]
+    args[position] = bad
+    with pytest.raises(error):
+        build_gram_matrix(*args)
+
+
+class TestBlockAssembly:
+    """The per-degree block path against the per-entry closed form and the oracle."""
+
+    def test_matches_per_entry_path_on_rectangles(self):
+        for q in range(9):
+            for k in range(9):
+                full = [[overlap_general(n, m, q, k).value for m in range(71)] for n in range(71)]
+                wide = build_gram_matrix(q, k, 60, 70).entries
+                tall = build_gram_matrix(q, k, 70, 60).entries
+                assert wide == tuple(tuple(row) for row in full[:61]), (q, k)
+                assert tall == tuple(tuple(row[:61]) for row in full), (q, k)
+
+    @pytest.mark.parametrize("q, k, n_max, m_max", [(2, 3, 0, 0), (0, 0, 0, 0), (1, 2, 0, 5), (0, 4, 5, 0), (6, 1, 3, 9), (7, 7, 4, 4)])
+    def test_matches_per_entry_path_on_tiny_and_degenerate_bounds(self, q, k, n_max, m_max):
+        expected = tuple(
+            tuple(overlap_general(n, m, q, k).value for m in range(m_max + 1))
+            for n in range(n_max + 1)
+        )
+        assert build_gram_matrix(q, k, n_max, m_max).entries == expected
+
+    def test_matches_oracle(self):
+        for q in range(4):
+            for k in range(4):
+                expected = tuple(
+                    tuple(overlap_oracle(n, m, q, k) for m in range(13)) for n in range(13)
+                )
+                assert build_gram_matrix(q, k, 12, 12).entries == expected, (q, k)
+
+
+def _gram_json(**changes):
+    data = json.loads(build_gram_matrix(1, 2, 3, 4).to_json())
+    data.update(changes)
+    return data
+
+
+class TestFromJsonShape:
+    @pytest.mark.parametrize("key", ["q", "k", "n_max", "m_max", "method", "entries"])
+    def test_missing_key(self, key):
+        data = _gram_json()
+        del data[key]
+        with pytest.raises(ValueError):
+            GramMatrix.from_json(json.dumps(data))
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError):
+            GramMatrix.from_json("[1, 2]")
+
+    @pytest.mark.parametrize("key", ["q", "k", "n_max", "m_max"])
+    @pytest.mark.parametrize("bad", [-1, 1.0, True, "1", None])
+    def test_bad_index(self, key, bad):
+        with pytest.raises(ValueError):
+            GramMatrix.from_json(json.dumps(_gram_json(**{key: bad})))
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            GramMatrix.from_json(json.dumps(_gram_json(method="bogus")))
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda rows: rows[:-1],  # a row short
+            lambda rows: rows + [rows[0]],  # a row over
+            lambda rows: [rows[0][:-1]] + rows[1:],  # ragged: one short row
+            lambda rows: [rows[0] + ["0"]] + rows[1:],  # ragged: one long row
+            lambda rows: [",".join(rows[0])] + rows[1:],  # a row that is no list
+            lambda rows: {"0": rows},  # entries that are no list
+            lambda rows: [[0] + rows[0][1:]] + rows[1:],  # a number, not a string
+            lambda rows: [["1.5"] + rows[0][1:]] + rows[1:],  # a string format_exact never writes
+        ],
+    )
+    def test_bad_entries(self, mangle):
+        data = _gram_json()
+        data["entries"] = mangle(data["entries"])
+        with pytest.raises(ValueError):
+            GramMatrix.from_json(json.dumps(data))
+
+
+class TestParseExact:
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "1e400", "2/4", "3/1", "-0", "0/1", " 3", "+3", "1_0", "1/-2", ""]
+        + ["3 ", "3\n", "/2", "1/", "0/5", "007", "\u0663"],
+    )
+    def test_rejects_what_format_exact_never_writes(self, text):
+        with pytest.raises(ValueError):
+            parse_exact(text)
+
+    @pytest.mark.parametrize("value", [3, 3.0, None, Fraction(3), b"3"])
+    def test_rejects_non_str(self, value):
+        with pytest.raises(TypeError):
+            parse_exact(value)
+
+    def test_exact_inverse_of_format_exact(self):
+        for q, k in [(0, 0), (0, 1), (2, 3), (5, 4)]:
+            for row in json.loads(build_gram_matrix(q, k, 20, 20).to_json())["entries"]:
+                for text in row:
+                    assert format_exact(parse_exact(text)) == text

@@ -1,12 +1,13 @@
 """Gauss-Legendre rules and the floating-point overlap cross-check."""
 
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
 from legoverlap import gauss_legendre_rule, legendre, overlap_general, overlap_quadrature
-from legoverlap.quadrature import legendre_derivative_value
+from legoverlap.quadrature import _CONTEXT, _derivative_value, legendre_derivative_value
 
 
 def test_one_point_rule():
@@ -104,3 +105,19 @@ def test_concordance_envelope():
                     exact = float(overlap_general(n, m, q, k).value)
                     approx = overlap_quadrature(n, m, q, k, max(1, n + m))
                     assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact)), (n, m, q, k)
+
+
+def test_recurrence_keeps_parity_exactly():
+    """overlap_quadrature reuses the value at x for the mirrored node -x.
+
+    That is exact only because the recurrence gives
+    P_n^(q)(-x) = (-1)^(n+q) P_n^(q)(x) to the last decimal digit.
+    """
+    with decimal.localcontext(_CONTEXT):
+        for order in (5, 12, 25):
+            for x, _ in gauss_legendre_rule(order).decimal_half:
+                for n in range(17):
+                    for q in range(5):
+                        value = _derivative_value(n, q, x)
+                        mirrored = -value if (n + q) % 2 else value
+                        assert _derivative_value(n, q, -x) == mirrored, (order, x, n, q)
