@@ -7,7 +7,7 @@ extended-precision Gauss-Legendre cross-checks, and Gram-matrix assembly with
 JSON/CSV serialization.
 """
 
-from .legendre import Polynomial, legendre, parity_sign
+from .legendre import Polynomial, legendre
 from .boundary import (
     boundary_factorial,
     boundary_genfunc,
@@ -27,7 +27,7 @@ from .overlap import (
     parity_filter,
     theta,
 )
-from .oracle import integrate_over_interval, legendre_project, overlap_oracle
+from .oracle import integrate_over_interval, overlap_oracle
 from .quadrature import QuadratureRule, gauss_legendre_rule, overlap_quadrature
 from .gram import GramMatrix, build_gram_matrix, format_exact, parse_exact
 
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Polynomial",
     "legendre",
-    "parity_sign",
     "boundary_factorial",
     "boundary_genfunc",
     "boundary_recurrence",
@@ -53,7 +52,6 @@ __all__ = [
     "parity_filter",
     "theta",
     "integrate_over_interval",
-    "legendre_project",
     "overlap_oracle",
     "QuadratureRule",
     "gauss_legendre_rule",

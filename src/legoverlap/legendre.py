@@ -3,15 +3,22 @@
 Polynomials are stored densely: ``coeffs[p]`` multiplies ``x**p``.  All
 coefficients are ``fractions.Fraction`` instances, so evaluation,
 differentiation, and products are exact; nothing in this module rounds.
+P_n is written down from its explicit coefficient sum (DLMF 18.5), so this
+module shares no recurrence with the quadrature route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
-__all__ = ["Polynomial", "legendre", "parity_sign"]
+from ._checks import check_indices
+
+__all__ = ["Polynomial", "legendre"]
+
+LEGENDRE_CACHE_SIZE = 512
 
 Scalar = int | Fraction
 
@@ -60,12 +67,6 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, Polynomial):
             if not self.coeffs or not other.coeffs:
@@ -82,8 +83,7 @@ class Polynomial:
 
     def differentiate(self, k: int = 1) -> "Polynomial":
         """k-fold derivative; the zero polynomial once k exceeds the degree."""
-        if k < 0:
-            raise ValueError("derivative order must be non-negative")
+        check_indices(k)
         cs = self.coeffs
         for _ in range(k):
             if len(cs) <= 1:
@@ -99,24 +99,19 @@ class Polynomial:
         return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEGENDRE_CACHE_SIZE, typed=True)
 def legendre(n: int) -> Polynomial:
     """Legendre polynomial P_n with exact rational coefficients.
 
-    Built by the Bonnet recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}
-    starting from P_0 = 1 and P_1 = x, normalized so that P_n(1) = 1.
+    Filled from the explicit sum
+
+        P_n(x) = 2^-n sum_{j <= n/2} (-1)^j C(n, j) C(2n-2j, n) x^(n-2j),
+
+    which is normalized so that P_n(1) = 1.  The key is typed, so a float or
+    bool degree misses the cache and is rejected even after P_n is cached.
     """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if n == 0:
-        return Polynomial([1])
-    prev, cur = Polynomial([1]), Polynomial([0, 1])
-    for j in range(1, n):
-        shifted = Polynomial((Fraction(0),) + cur.coeffs)  # x * P_j
-        prev, cur = cur, Fraction(2 * j + 1, j + 1) * shifted - Fraction(j, j + 1) * prev
-    return cur
-
-
-def parity_sign(n: int, k: int) -> int:
-    """Sign in P_n^(k)(-x) = (-1)**(n+k) P_n^(k)(x): +1 iff n+k is even."""
-    return 1 if (n + k) % 2 == 0 else -1
+    check_indices(n)
+    coeffs = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        coeffs[n - 2 * j] = Fraction((-1) ** j * comb(n, j) * comb(2 * n - 2 * j, n), 1 << n)
+    return Polynomial(coeffs)

@@ -11,9 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ._checks import check_indices
 from .legendre import Polynomial, legendre
 
-__all__ = ["integrate_over_interval", "overlap_oracle", "legendre_project"]
+__all__ = ["integrate_over_interval", "overlap_oracle"]
+
+DERIVATIVE_CACHE_SIZE = 1024
 
 
 def integrate_over_interval(p: Polynomial) -> Fraction:
@@ -25,27 +28,20 @@ def integrate_over_interval(p: Polynomial) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
 def _legendre_derivative(n: int, order: int) -> Polynomial:
     return legendre(n).differentiate(order)
 
 
-@lru_cache(maxsize=None)
 def overlap_oracle(n: int, m: int, q: int, k: int) -> Fraction:
     """Integral of P_n^(q) P_m^(k) over [-1, 1] by literal expansion."""
+    check_indices(n, m, q, k)
+    return _overlap_oracle(n, m, q, k)
+
+
+# Unbounded on purpose: a sweep reuses the values it computed, and a bound
+# gives every entry a recency-list node (about 1 MB more over the
+# 17689-tuple acceptance grid) without ever evicting one there.
+@lru_cache(maxsize=None)
+def _overlap_oracle(n: int, m: int, q: int, k: int) -> Fraction:
     return integrate_over_interval(_legendre_derivative(n, q) * _legendre_derivative(m, k))
-
-
-def legendre_project(p: Polynomial) -> list[Fraction]:
-    """Coefficients a_j with p = sum_j a_j P_j.
-
-    Computed as a_j = (2j+1)/2 * integral of p P_j; the returned list has
-    degree(p)+1 entries (empty for the zero polynomial) and reconstructs p
-    exactly.
-    """
-    if p.degree is None:
-        return []
-    return [
-        Fraction(2 * j + 1, 2) * integrate_over_interval(p * legendre(j))
-        for j in range(p.degree + 1)
-    ]

@@ -66,7 +66,7 @@ def _legendre_pair(order: int, x: Decimal) -> tuple[Decimal, Decimal]:
     return p, order * (x * p - p_prev) / (x * x - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_ORDER, typed=True)
 def gauss_legendre_rule(order: int) -> QuadratureRule:
     """Gauss-Legendre rule of the given order (1 <= order <= 128).
 
@@ -74,8 +74,10 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     decimal arithmetic, from the Chebyshev initial guesses
     cos(pi (4i-1) / (4N+2)), until the step is at most 1e-34; weights are
     2 / ((1-x^2) P_N'(x)^2) in the same precision.  Negative nodes are the
-    exact mirrors of the positive ones.
+    exact mirrors of the positive ones.  The cache key is typed, so a bool
+    or float order is rejected even when its int twin is cached.
     """
+    check_indices(order)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     half: list[tuple[Decimal, Decimal]] = []  # (node, weight), descending nodes
@@ -133,12 +135,6 @@ def _derivative_value(n: int, q: int, x: Decimal) -> Decimal:
     return nxt[q]
 
 
-def legendre_derivative_value(n: int, q: int, x: float) -> float:
-    """P_n^(q)(x) for a float x, computed in extended precision and rounded to float."""
-    with decimal.localcontext(_CONTEXT):
-        return float(_derivative_value(n, q, Decimal(x)))
-
-
 def overlap_quadrature(n: int, m: int, q: int, k: int, order: int) -> float:
     """Quadrature approximation of the overlap of P_n^(q) and P_m^(k).
 
@@ -146,7 +142,7 @@ def overlap_quadrature(n: int, m: int, q: int, k: int, order: int) -> float:
     integrand; rule, integrand and sum are all in extended precision, and
     the result is rounded to float once.
     """
-    check_indices(n, m, q, k)
+    check_indices(n, m, q, k, order)
     if 2 * order - 1 < (n - q) + (m - k):
         raise ValueError(
             f"order-{order} rule is not exact for integrand degree {(n - q) + (m - k)}"

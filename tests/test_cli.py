@@ -1,11 +1,14 @@
 """CLI surface: printed output, file emission, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import legoverlap
 from legoverlap import GramMatrix, build_gram_matrix
 from legoverlap.cli import main
 
@@ -134,11 +137,15 @@ def test_usage_errors_exit_2():
 
 
 def test_module_invocation():
+    # The child imports the same package the suite tests, installed or not.
+    package_root = str(Path(legoverlap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "legoverlap", "overlap",
          "--n", "10", "--m", "5", "--q", "10", "--k", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "137493105750"

@@ -141,6 +141,42 @@ class TestBlockAssembly:
                 assert build_gram_matrix(q, k, 12, 12).entries == expected, (q, k)
 
 
+class TestGramIdentities:
+    """Identities of the block-assembled matrices alone, with no second route.
+
+    Integrating (2m+1) P_m^(k) = P_{m+1}^(k+1) - P_{m-1}^(k+1) (the k-th
+    derivative of a DLMF 18.9 relation) against P_n^(q) ties column m of
+    G(q, k) to columns m +- 1 of G(q, k+1); swapping the factors transposes G.
+    """
+
+    N = 60
+
+    @pytest.fixture(scope="class")
+    def grams(self):
+        return {
+            (q, k): build_gram_matrix(q, k, self.N, self.N + 1).entries
+            for q in range(5)
+            for k in range(6)
+        }
+
+    def test_derivative_ladder_identity(self, grams):
+        for q in range(5):
+            for k in range(5):
+                g, up = grams[q, k], grams[q, k + 1]
+                for n in range(self.N + 1):
+                    for m in range(self.N + 1):
+                        below = up[n][m - 1] if m else 0
+                        assert (2 * m + 1) * g[n][m] + below == up[n][m + 1], (q, k, n, m)
+
+    def test_swap_symmetry(self, grams):
+        for q in range(5):
+            for k in range(5):
+                g, swapped = grams[q, k], grams[k, q]
+                for n in range(self.N + 1):
+                    for m in range(self.N + 1):
+                        assert g[n][m] == swapped[m][n], (q, k, n, m)
+
+
 def _gram_json(**changes):
     data = json.loads(build_gram_matrix(1, 2, 3, 4).to_json())
     data.update(changes)

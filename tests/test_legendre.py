@@ -1,10 +1,11 @@
-"""Exact polynomial layer: construction, differentiation, evaluation, parity."""
+"""Exact polynomial layer: construction, differentiation, evaluation, parity, caches."""
 
 from fractions import Fraction
 
 import pytest
 
-from legoverlap import Polynomial, legendre, parity_sign
+from legoverlap import Polynomial, gauss_legendre_rule, legendre
+from legoverlap.oracle import _legendre_derivative
 
 N_TEST = 40
 
@@ -68,19 +69,21 @@ def test_coefficient_parity_structure():
                     assert c == 0, (n, k, p)
 
 
+def test_bonnet_recurrence_holds_exactly():
+    """The explicit coefficient sum satisfies (j+1) P_{j+1} + j P_{j-1} = (2j+1) x P_j."""
+    x = Polynomial([0, 1])
+    for j in range(1, 61):
+        lhs = (j + 1) * legendre(j + 1) + j * legendre(j - 1)
+        assert lhs == (2 * j + 1) * (x * legendre(j)), j
+
+
 def test_parity_sign_matches_evaluation():
     xs = [Fraction(1, 3), Fraction(2, 5), Fraction(7, 9)]
     for n in range(8):
         for k in range(4):
             dp = legendre(n).differentiate(k)
             for x in xs:
-                assert dp(-x) == parity_sign(n, k) * dp(x)
-
-
-def test_parity_sign_examples():
-    assert parity_sign(2, 0) == 1
-    assert parity_sign(2, 1) == -1
-    assert parity_sign(3, 3) == 1
+                assert dp(-x) == (-1) ** (n + k) * dp(x)
 
 
 def test_derivative_degree():
@@ -103,3 +106,20 @@ def test_negative_inputs_rejected():
         legendre(-1)
     with pytest.raises(ValueError):
         legendre(3).differentiate(-2)
+
+
+def test_non_int_inputs_rejected_even_when_cached():
+    legendre(2)
+    legendre(1)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError):
+            legendre(bad)
+    with pytest.raises(TypeError):
+        legendre(3).differentiate(1.0)
+    with pytest.raises(TypeError):
+        legendre(3).differentiate(True)
+
+
+@pytest.mark.parametrize("cache", [legendre, _legendre_derivative, gauss_legendre_rule])
+def test_caches_are_bounded(cache):
+    assert cache.cache_info().maxsize is not None

@@ -1,15 +1,10 @@
-"""Brute-force integration path and Legendre-basis projection."""
+"""Brute-force integration path and its input checks."""
 
-import random
 from fractions import Fraction
 
-from legoverlap import (
-    Polynomial,
-    integrate_over_interval,
-    legendre,
-    legendre_project,
-    overlap_oracle,
-)
+import pytest
+
+from legoverlap import Polynomial, integrate_over_interval, overlap_oracle
 
 
 def test_integrate_monomials():
@@ -42,30 +37,17 @@ def test_oracle_integrand_parity():
                         assert overlap_oracle(n, m, q, k) == 0, (n, m, q, k)
 
 
-def test_projection_examples():
-    assert legendre_project(legendre(5)) == [0, 0, 0, 0, 0, 1]
-    assert legendre_project(legendre(2).differentiate()) == [0, 3]
-    assert legendre_project(Polynomial()) == []
+def test_float_index_rejected_after_int_twin_is_cached():
+    assert overlap_oracle(2, 4, 0, 1) == 0
+    with pytest.raises(TypeError):
+        overlap_oracle(2.0, 4, 0, 1)
 
 
-def test_projection_round_trip_random_polynomials():
-    rng = random.Random(20260809)
-    for _ in range(25):
-        degree = rng.randrange(0, 16)
-        coeffs = [
-            Fraction(rng.randrange(-50, 51), rng.randrange(1, 13))
-            for _ in range(degree + 1)
-        ]
-        p = Polynomial(coeffs)
-        rebuilt = Polynomial()
-        for j, a in enumerate(legendre_project(p)):
-            rebuilt = rebuilt + a * legendre(j)
-        assert rebuilt == p
+def test_bool_index_rejected():
+    with pytest.raises(TypeError):
+        overlap_oracle(True, 2, 0, 1)
 
 
-def test_projection_of_derivative_stops_below_degree():
-    """P'_n expands in P_0 .. P_{n-1} only."""
-    for n in range(1, 13):
-        coeffs = legendre_project(legendre(n).differentiate())
-        assert len(coeffs) == n
-        assert coeffs[-1] != 0
+def test_negative_index_rejected():
+    with pytest.raises(ValueError):
+        overlap_oracle(2, 2, -1, 0)

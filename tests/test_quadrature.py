@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from legoverlap import gauss_legendre_rule, legendre, overlap_general, overlap_quadrature
-from legoverlap.quadrature import _CONTEXT, _derivative_value, legendre_derivative_value
+from legoverlap.quadrature import _CONTEXT, _derivative_value
 
 
 def test_one_point_rule():
@@ -59,13 +59,26 @@ def test_order_bounds():
         gauss_legendre_rule(129)
 
 
+def test_bool_order_rejected_even_when_cached():
+    gauss_legendre_rule(1)
+    with pytest.raises(TypeError):
+        gauss_legendre_rule(True)
+    assert gauss_legendre_rule(1).order == 1
+
+
+def test_overlap_quadrature_rejects_float_order():
+    with pytest.raises(TypeError):
+        overlap_quadrature(2, 2, 0, 0, 2.0)
+
+
 def test_float_derivative_values_match_exact_evaluation():
     for n in range(13):
         for q in range(5):
             p = legendre(n).differentiate(q)
             for x in (-0.875, -0.25, 0.0, 0.3125, 0.96875):
                 exact = float(p(Fraction(x)))
-                got = legendre_derivative_value(n, q, x)
+                with decimal.localcontext(_CONTEXT):
+                    got = float(_derivative_value(n, q, decimal.Decimal(x)))
                 assert got == pytest.approx(exact, rel=1e-12, abs=1e-12), (n, q, x)
 
 
