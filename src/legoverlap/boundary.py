@@ -69,8 +69,8 @@ def boundary_genfunc(n: int, k: int) -> Fraction:
 
 def double_factorial(j: int) -> int:
     """j!! = j (j-2) (j-4) ... 1 for positive odd j; the empty product 1 for j = -1."""
-    if j == -1:
-        return 1
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise TypeError(f"j must be int, got {type(j).__name__}")
     if j < -1 or j % 2 == 0:
         raise ValueError(f"double factorial is defined here for -1 or positive odd j, got {j}")
     out = 1

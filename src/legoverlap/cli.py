@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .boundary import boundary_factorial, boundary_genfunc, boundary_recurrence
-from .gram import METHODS, build_gram_matrix, format_exact
+from .gram import build_gram_matrix, format_exact
 from .oracle import overlap_oracle
 from .overlap import VanishingReason, classify_vanishing, overlap_general
 from .quadrature import overlap_quadrature
@@ -46,7 +46,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    matrix = build_gram_matrix(args.q, args.k, args.n_max, args.m_max, args.method)
+    matrix = build_gram_matrix(args.q, args.k, args.n_max, args.m_max)
     text = matrix.to_csv() if args.format == "csv" else matrix.to_json() + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -141,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--n-max", type=_nonneg, required=True)
     p.add_argument("--m-max", type=_nonneg, required=True)
-    p.add_argument("--method", choices=METHODS, default="closed_form")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gram)

@@ -1,9 +1,9 @@
 """Gram matrices of derivative overlaps, with JSON and CSV serialization.
 
-Entry [n][m] holds the exact integral of P_n^(q) P_m^(k) over [-1, 1].
-Values serialize as strings ("p/q", or a plain decimal integer when the
-denominator is 1) because they routinely exceed both 64-bit integers and
-double precision.
+Entry [n][m] holds the exact integral of P_n^(q) P_m^(k) over [-1, 1],
+filled from the closed form alone.  Values serialize as strings ("p/q",
+or a plain decimal integer when the denominator is 1) because they
+routinely exceed both 64-bit integers and double precision.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._checks import check_indices
-from .oracle import overlap_oracle
 from .overlap import _gram_entries
 
 __all__ = ["GramMatrix", "build_gram_matrix", "format_exact", "parse_exact"]
 
-METHODS = ("closed_form", "oracle")
-
 _ZERO = Fraction(0)
 _EXACT = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
-_FIELDS = ("q", "k", "n_max", "m_max", "method", "entries")
+_FIELDS = ("q", "k", "n_max", "m_max", "entries")
 
 
 def format_exact(value: Fraction) -> str:
@@ -65,7 +62,6 @@ class GramMatrix:
     k: int
     n_max: int
     m_max: int
-    method: str
     entries: tuple[tuple[Fraction, ...], ...]
 
     def to_json(self) -> str:
@@ -75,22 +71,22 @@ class GramMatrix:
                 "k": self.k,
                 "n_max": self.n_max,
                 "m_max": self.m_max,
-                "method": self.method,
                 "entries": [[format_exact(v) for v in row] for row in self.entries],
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "GramMatrix":
-        """Read to_json output back; ValueError on anything of another shape."""
+        """Read to_json output back; ValueError on anything of another shape.
+
+        Extra keys, such as the "method" older files carry, are ignored.
+        """
         data = json.loads(text)
         if not isinstance(data, dict) or any(key not in data for key in _FIELDS):
             raise ValueError(f"a Gram matrix object needs the keys {_FIELDS}")
-        q, k, n_max, m_max, method, rows = (data[key] for key in _FIELDS)
+        q, k, n_max, m_max, rows = (data[key] for key in _FIELDS)
         if any(type(index) is not int or index < 0 for index in (q, k, n_max, m_max)):
             raise ValueError("q, k, n_max and m_max must be non-negative integers")
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         if (
             type(rows) is not list
             or len(rows) != n_max + 1
@@ -101,7 +97,7 @@ class GramMatrix:
             entries = tuple(tuple(map(parse_exact, row)) for row in rows)
         except TypeError:
             raise ValueError("entries must be strings") from None
-        return cls(q, k, n_max, m_max, method, entries)
+        return cls(q, k, n_max, m_max, entries)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -112,24 +108,12 @@ class GramMatrix:
         return out.getvalue()
 
 
-def build_gram_matrix(
-    q: int, k: int, n_max: int, m_max: int, method: str = "closed_form"
-) -> GramMatrix:
+def build_gram_matrix(q: int, k: int, n_max: int, m_max: int) -> GramMatrix:
     """Assemble the (n_max+1) x (m_max+1) matrix of overlaps for fixed (q, k).
 
-    method selects the closed form, assembled per degree from endpoint
-    ladder vectors in O((n_max+m_max)(q+k)) integers and one dot product
-    per nonzero-parity entry, or the brute-force oracle entry by entry
-    (both exact, so the results are identical).
+    The closed form is assembled per degree from endpoint ladder vectors in
+    O((n_max+m_max)(q+k)) integers and one dot product per nonzero-parity
+    entry.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     check_indices(q, k, n_max, m_max)
-    if method == "closed_form":
-        entries = _gram_entries(q, k, n_max, m_max)
-    else:
-        entries = tuple(
-            tuple(overlap_oracle(n, m, q, k) for m in range(m_max + 1))
-            for n in range(n_max + 1)
-        )
-    return GramMatrix(q, k, n_max, m_max, method, entries)
+    return GramMatrix(q, k, n_max, m_max, _gram_entries(q, k, n_max, m_max))

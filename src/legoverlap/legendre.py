@@ -59,6 +59,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a

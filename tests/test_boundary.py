@@ -75,6 +75,12 @@ def test_double_factorial_rejects_bad_input(bad):
         double_factorial(bad)
 
 
+@pytest.mark.parametrize("bad", [True, -1.0])
+def test_double_factorial_rejects_non_int(bad):
+    with pytest.raises(TypeError):
+        double_factorial(bad)
+
+
 def test_values_at_minus_one():
     """P_n^(k)(-1) = (-1)^(n+k) P_n^(k)(1)."""
     for n in range(16):

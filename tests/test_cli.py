@@ -11,6 +11,7 @@ import pytest
 import legoverlap
 from legoverlap import GramMatrix, build_gram_matrix
 from legoverlap.cli import main
+from legoverlap.quadrature import MAX_ORDER
 
 
 def test_overlap_prints_large_value(capsys):
@@ -44,7 +45,6 @@ def test_gram_json_to_stdout(capsys):
     assert main(["gram", "--q", "0", "--k", "0", "--n-max", "2", "--m-max", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["entries"][1][1] == "2/3"
-    assert data["method"] == "closed_form"
 
 
 def test_gram_writes_json_and_csv(tmp_path):
@@ -62,6 +62,13 @@ def test_gram_writes_json_and_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n\\m,0,1,2,3"
     assert lines[3] == "2,0,0,6,0"
+
+
+def test_gram_has_no_method_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--q", "0", "--k", "0", "--n-max", "2", "--m-max", "2", "--method", "oracle"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_gram_unwritable_path(tmp_path, capsys):
@@ -122,6 +129,20 @@ def test_quad_check_rejects_too_small_rule(capsys):
     code = main(["quad-check", "--n", "6", "--m", "6", "--q", "0", "--k", "0", "--nodes", "3"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],  # degree 2 MAX_ORDER + 1: the smallest exact order is MAX_ORDER + 1
+        ["--nodes", str(MAX_ORDER + 1)],
+    ],
+    ids=["default-order", "nodes"],
+)
+def test_quad_check_rejects_orders_past_the_rule_cap(extra, capsys):
+    args = ["quad-check", "--n", str(MAX_ORDER), "--m", str(MAX_ORDER + 1), "--q", "0", "--k", "0"]
+    assert main(args + extra) == 2
+    assert f"order must be in 1..{MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

@@ -53,13 +53,12 @@ def test_csv_and_json_cells_identical():
 
 
 def test_json_schema_fields():
-    data = json.loads(build_gram_matrix(1, 0, 2, 3, method="oracle").to_json())
+    data = json.loads(build_gram_matrix(1, 0, 2, 3).to_json())
     assert data == {
         "q": 1,
         "k": 0,
         "n_max": 2,
         "m_max": 3,
-        "method": "oracle",
         "entries": data["entries"],
     }
     assert len(data["entries"]) == 3
@@ -79,20 +78,6 @@ def test_odd_parity_entries_are_zero():
         for m in range(6):
             if (n + m + 3) % 2:
                 assert gm.entries[n][m] == 0
-
-
-def test_oracle_method_matches_closed_form():
-    a = build_gram_matrix(2, 2, 5, 5)
-    b = build_gram_matrix(2, 2, 5, 5, method="oracle")
-    assert a.entries == b.entries
-    assert (a.method, b.method) == ("closed_form", "oracle")
-
-
-def test_rejects_unknown_method_and_bad_bounds():
-    with pytest.raises(ValueError):
-        build_gram_matrix(0, 0, 1, 1, method="guess")
-    with pytest.raises(ValueError):
-        build_gram_matrix(0, 0, -1, 1)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +169,7 @@ def _gram_json(**changes):
 
 
 class TestFromJsonShape:
-    @pytest.mark.parametrize("key", ["q", "k", "n_max", "m_max", "method", "entries"])
+    @pytest.mark.parametrize("key", ["q", "k", "n_max", "m_max", "entries"])
     def test_missing_key(self, key):
         data = _gram_json()
         del data[key]
@@ -201,9 +186,9 @@ class TestFromJsonShape:
         with pytest.raises(ValueError):
             GramMatrix.from_json(json.dumps(_gram_json(**{key: bad})))
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            GramMatrix.from_json(json.dumps(_gram_json(method="bogus")))
+    def test_older_file_with_method_key_still_loads(self):
+        text = json.dumps(_gram_json(method="oracle"))
+        assert GramMatrix.from_json(text) == build_gram_matrix(1, 2, 3, 4)
 
     @pytest.mark.parametrize(
         "mangle",

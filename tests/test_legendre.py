@@ -101,6 +101,11 @@ def test_polynomial_is_immutable_and_hashable():
     assert legendre(5) == Polynomial(p.coeffs)
 
 
+def test_adding_a_non_polynomial_raises_type_error():
+    with pytest.raises(TypeError):
+        legendre(2) + 1
+
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         legendre(-1)

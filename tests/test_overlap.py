@@ -224,6 +224,21 @@ def test_route_never_imports_closed_forms(route):
     assert "legoverlap.overlap" not in _imported_modules(path)
 
 
+@pytest.mark.parametrize(
+    "route, forbidden",
+    [
+        ("gram", "oracle"),  # Gram matrices come from the closed form alone
+        ("quadrature", "overlap"),  # quadrature shares nothing exact with the other routes
+        ("quadrature", "boundary"),
+        ("quadrature", "oracle"),
+        ("quadrature", "legendre"),
+    ],
+)
+def test_route_import_graph(route, forbidden):
+    path = Path(legoverlap.__file__).with_name(f"{route}.py")
+    assert f"legoverlap.{forbidden}" not in _imported_modules(path)
+
+
 class TestVanishingReason:
     def test_parity(self):
         assert overlap_p_dp(1, 3).vanishing_reason is VanishingReason.PARITY
