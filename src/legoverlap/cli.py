@@ -108,7 +108,12 @@ def _cmd_quad_check(args: argparse.Namespace) -> int:
     try:
         approx = overlap_quadrature(args.n, args.m, args.q, args.k, order)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Without --nodes the only order the rule rejects is a default past its cap.
+        default = "" if args.nodes is not None else (
+            f"; {order} is the default, the smallest exact order for degree {degree},"
+            " and --nodes chooses another order"
+        )
+        print(f"error: {exc}{default}", file=sys.stderr)
         return 2
     exact = overlap_general(args.n, args.m, args.q, args.k).value
     error = abs(approx - float(exact))

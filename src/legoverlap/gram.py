@@ -65,13 +65,14 @@ class GramMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def to_json(self) -> str:
+        # str(Fraction) is format_exact's text, without its two property reads per cell.
         return json.dumps(
             {
                 "q": self.q,
                 "k": self.k,
                 "n_max": self.n_max,
                 "m_max": self.m_max,
-                "entries": [[format_exact(v) for v in row] for row in self.entries],
+                "entries": [list(map(str, row)) for row in self.entries],
             }
         )
 
@@ -80,6 +81,8 @@ class GramMatrix:
         """Read to_json output back; ValueError on anything of another shape.
 
         Extra keys, such as the "method" older files carry, are ignored.
+        Each distinct cell string is checked by parse_exact once, and every
+        cell holding it shares the resulting Fraction.
         """
         data = json.loads(text)
         if not isinstance(data, dict) or any(key not in data for key in _FIELDS):
@@ -94,9 +97,10 @@ class GramMatrix:
         ):
             raise ValueError(f"entries must be {n_max + 1} rows of {m_max + 1} strings")
         try:
-            entries = tuple(tuple(map(parse_exact, row)) for row in rows)
+            parsed = {text: parse_exact(text) for text in set().union(*rows)}
         except TypeError:
             raise ValueError("entries must be strings") from None
+        entries = tuple(tuple(map(parsed.__getitem__, row)) for row in rows)
         return cls(q, k, n_max, m_max, entries)
 
     def to_csv(self) -> str:
@@ -104,7 +108,7 @@ class GramMatrix:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n\\m"] + [str(m) for m in range(self.m_max + 1)])
         for n, row in enumerate(self.entries):
-            writer.writerow([str(n)] + [format_exact(v) for v in row])
+            writer.writerow([str(n), *map(str, row)])
         return out.getvalue()
 
 
@@ -112,8 +116,9 @@ def build_gram_matrix(q: int, k: int, n_max: int, m_max: int) -> GramMatrix:
     """Assemble the (n_max+1) x (m_max+1) matrix of overlaps for fixed (q, k).
 
     The closed form is assembled per degree from endpoint ladder vectors in
-    O((n_max+m_max)(q+k)) integers and one dot product per nonzero-parity
-    entry.
+    O((n_max+m_max)(q+k)) integers and at most one dot product per
+    nonzero-parity entry.  For q == k the matrix is symmetric, and one
+    triangle is copied from the other.
     """
     check_indices(q, k, n_max, m_max)
     return GramMatrix(q, k, n_max, m_max, _gram_entries(q, k, n_max, m_max))

@@ -125,9 +125,15 @@ def _gated_ladder(left: list[int], right: list[int], n: int, m: int, q: int, s: 
 def _gram_entries(q: int, k: int, n_max: int, m_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of overlap_general(n, m, q, k).value for n <= n_max and m <= m_max.
 
-    The ladder factors are built once per degree, O((n_max+m_max)(q+k))
-    integers, and each odd-parity entry is a single dot product of them;
-    every other entry is one shared zero.
+    This is _gated_ladder inlined over a whole block.  The ladder factors
+    are built once per degree, O((n_max+m_max)(q+k)) integers, and split
+    once into their gate-closed part (d < q) and gate-open part
+    (q <= d <= s).  An odd-parity entry at m = n+s+1 or beyond has its gate
+    open; below that it is closed, and with q = 0 its ladder is empty, so
+    it stays zero.  Each other odd-parity entry is one dot product, and
+    one Fraction is made per distinct numerator.  For q == k the matrix is
+    symmetric (swap symmetry), so the part of row n left of the diagonal is
+    copied from the earlier rows wherever column n exists.
     """
     zero = Fraction(0)
     if q == 0 and k == 0:
@@ -136,13 +142,30 @@ def _gram_entries(q: int, k: int, n_max: int, m_max: int) -> tuple[tuple[Fractio
             for n in range(n_max + 1)
         )
     s = k + q - 1
+    sign, mask = (-2 if q % 2 else 2), (1 << s) - 1
     columns = [_reversed_endpoints(m, s) for m in range(m_max + 1)]
-    rows = []
+    closed_columns = [column[:q] for column in columns]
+    open_columns = [column[q:] for column in columns]
+    values: dict[int, Fraction] = {}
+    rows: list[tuple[Fraction, ...]] = []
     for n in range(n_max + 1):
+        mirrored = q == k and n <= m_max
+        lo = n if mirrored else 0
+        row = [r[n] for r in rows] if mirrored else []
+        row += [zero] * (m_max + 1 - lo)
         left = _signed_endpoints(n, s)
-        row = [zero] * (m_max + 1)
-        for m in range((n + s + 1) % 2, m_max + 1, 2):
-            row[m] = _gated_ladder(left, columns[m], n, m, q, s)
+        gate = n + s + 1  # the first gate-open column; n+gate+s is odd
+        blocks = [(range(gate, m_max + 1, 2), sign, left[q:], open_columns)]
+        if q:
+            closed = range(lo + (lo + gate) % 2, min(gate, m_max + 1), 2)
+            blocks.append((closed, -sign, left[:q], closed_columns))
+        for ms, scale, factors, block in blocks:
+            for m in ms:
+                num = scale * sum(map(int.__mul__, factors, block[m]))
+                value = values.get(num)
+                if value is None:
+                    value = values[num] = Fraction(num, 1 << s) if num & mask else Fraction(num >> s)
+                row[m] = value
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -145,6 +145,16 @@ def test_quad_check_rejects_orders_past_the_rule_cap(extra, capsys):
     assert f"order must be in 1..{MAX_ORDER}" in capsys.readouterr().err
 
 
+def test_quad_check_names_the_default_order_it_rejects(capsys):
+    args = ["quad-check", "--n", str(MAX_ORDER), "--m", str(MAX_ORDER + 1), "--q", "0", "--k", "0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{MAX_ORDER + 1} is the default, the smallest exact order for degree {2 * MAX_ORDER + 1}" in err
+    assert "--nodes chooses another order" in err
+    assert main(args + ["--nodes", str(MAX_ORDER + 1)]) == 2
+    assert "default" not in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["overlap", "--n", "-3", "--m", "1", "--q", "0", "--k", "1"])

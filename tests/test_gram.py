@@ -117,6 +117,20 @@ class TestBlockAssembly:
         )
         assert build_gram_matrix(q, k, n_max, m_max).entries == expected
 
+    @pytest.mark.parametrize(
+        "q, n_max, m_max",
+        [(1, 0, 0), (2, 0, 0), (4, 0, 0)]  # 1 x 1
+        + [(3, 2, 2), (4, 1, 6), (5, 3, 0), (6, 4, 9)]  # n_max < q
+        + [(q, 4, 39) for q in range(1, 5)]  # 5 x 40
+        + [(q, 39, 4) for q in range(1, 5)],  # 40 x 5
+    )
+    def test_mirrored_q_equals_k_matches_per_entry_path(self, q, n_max, m_max):
+        expected = tuple(
+            tuple(overlap_general(n, m, q, q).value for m in range(m_max + 1))
+            for n in range(n_max + 1)
+        )
+        assert build_gram_matrix(q, q, n_max, m_max).entries == expected
+
     def test_matches_oracle(self):
         for q in range(4):
             for k in range(4):
@@ -208,6 +222,51 @@ class TestFromJsonShape:
         data["entries"] = mangle(data["entries"])
         with pytest.raises(ValueError):
             GramMatrix.from_json(json.dumps(data))
+
+
+    @pytest.mark.parametrize(
+        "positions, bad",
+        [
+            ([(0, 0)], "2/4"),
+            ([(4, 4)], "007"),
+            ([(2, 4)], "06"),  # a malformed 6 after the valid "6" at (2, 2)
+            ([(2, 4)], "12/2"),
+            ([(3, 3)], "12 "),  # a trailing space
+            ([(1, 1), (3, 1)], "2.0"),  # the same malformed string twice
+        ],
+    )
+    def test_malformed_cell_raises_wherever_it_sits(self, positions, bad):
+        data = json.loads(build_gram_matrix(1, 1, 4, 4).to_json())
+        assert data["entries"][2][2] == data["entries"][2][4] == "6"
+        for n, m in positions:
+            data["entries"][n][m] = bad
+        with pytest.raises(ValueError):
+            GramMatrix.from_json(json.dumps(data))
+
+    def test_repeated_strings_read_back_equal(self):
+        gm = build_gram_matrix(1, 1, 30, 30)
+        cells = json.loads(gm.to_json())["entries"]
+        assert sum(row.count("6") for row in cells) > 2  # "6" recurs across rows
+        assert GramMatrix.from_json(gm.to_json()) == gm
+
+    def test_calls_share_no_state(self):
+        from legoverlap import gram
+
+        def containers():
+            return {
+                name: len(value)
+                for name, value in vars(gram).items()
+                if isinstance(value, (dict, set, list))
+            }
+
+        before = containers()
+        text = build_gram_matrix(2, 2, 8, 8).to_json()
+        first, second = GramMatrix.from_json(text), GramMatrix.from_json(text)
+        assert first == second
+        assert containers() == before
+        nonzero = [(n, m) for n in range(9) for m in range(9) if first.entries[n][m]]
+        assert nonzero
+        assert all(first.entries[n][m] is not second.entries[n][m] for n, m in nonzero)
 
 
 class TestParseExact:
